@@ -49,7 +49,6 @@ main(int argc, char **argv)
                     compiler::SyncScheme::kBisp};
     if (!cli.topologies.empty())
         grid.topologies = cli.topologies;
-    grid.sim_threads = cli.sim_threads;
 
     const auto tasks = sweep::makeTasks(sweep::expandGrid(grid));
     if (cli.list) {

@@ -93,13 +93,10 @@ HisqCore::scheduleStep(Cycle delay)
     if (_step_scheduled || _halted)
         return;
     _step_scheduled = true;
-    _sched.scheduleIn(
-        delay,
-        [this] {
-            _step_scheduled = false;
-            step();
-        },
-        _config.id);
+    _sched.scheduleIn(delay, [this] {
+        _step_scheduled = false;
+        step();
+    });
 }
 
 void

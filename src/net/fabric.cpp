@@ -32,15 +32,9 @@ Fabric::Fabric(const Topology &topo, sim::Scheduler &sched, TelfLog *telf,
         });
         router->setNotifyControllerFn(
             [this](ControllerId child, Cycle t_final) {
-                // Tag with the receiving controller: deliveries drive the
-                // destination's state machine, so the parallel scheduler
-                // files them under the destination's region.
-                _sched.scheduleIn(
-                    _topo.hopLatency(),
-                    [this, child, t_final] {
-                        coreAt(child)->deliverRegionNotify(t_final);
-                    },
-                    child);
+                _sched.scheduleIn(_topo.hopLatency(), [this, child, t_final] {
+                    coreAt(child)->deliverRegionNotify(t_final);
+                });
             });
     }
 }
@@ -76,9 +70,9 @@ Fabric::hooksFor(ControllerId id)
     hooks.sync.send_nearby_signal = [this, id](ControllerId peer) {
         const Cycle latency = _topo.neighborLatency(id, peer);
         _stats.inc("nearby_signals");
-        _sched.scheduleIn(
-            latency, [this, id, peer] { coreAt(peer)->deliverSyncSignal(id); },
-            peer);
+        _sched.scheduleIn(latency, [this, id, peer] {
+            coreAt(peer)->deliverSyncSignal(id);
+        });
     };
     hooks.sync.send_region_request = [this, id](RouterId target, Cycle t_i) {
         const RouterId parent = _topo.parentRouter(id);
@@ -116,10 +110,9 @@ Fabric::sendMessage(ControllerId src, ControllerId dst,
                               : _topo.messageLatency(src, dst);
     _stats.inc("messages");
     _stats.sample("message_latency", double(latency));
-    _sched.scheduleIn(
-        latency,
-        [this, src, dst, payload] { coreAt(dst)->deliverMessage(src, payload); },
-        dst);
+    _sched.scheduleIn(latency, [this, src, dst, payload] {
+        coreAt(dst)->deliverMessage(src, payload);
+    });
 }
 
 void

@@ -5,20 +5,8 @@
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "core/msgu.hpp"
-#include "net/partition.hpp"
 
 namespace dhisq::runtime {
-
-namespace {
-/**
- * Batching floor for the parallel scheduler's barrier window, in cycles.
- * Mesh link latencies are a couple of cycles, which at observed event
- * densities (a handful of events per cycle across the machine) would cost
- * a thread barrier every few events; widening the window amortizes the
- * barrier without affecting results (see sim::PartitionPlan::min_window).
- */
-constexpr Cycle kSimWindowFloor = 1024;
-} // namespace
 
 std::string
 RunReport::summary() const
@@ -37,12 +25,6 @@ RunReport::summary() const
 Machine::Machine(const MachineConfig &config)
     : _config(config), _topology(net::Topology::build(config.topology))
 {
-    if (config.sim_threads >= 2) {
-        sim::PartitionPlan plan =
-            net::makePartitionPlan(_topology, config.sim_threads);
-        plan.min_window = kSimWindowFloor;
-        _sched.configureParallel(std::move(plan), config.sim_threads);
-    }
     _device = std::make_unique<q::QuantumDevice>(config.device);
     _fabric = std::make_unique<net::Fabric>(_topology, _sched, &_telf,
                                             config.fabric);
@@ -88,14 +70,11 @@ Machine::Machine(const MachineConfig &config)
         const std::uint32_t payload = (std::uint32_t(qubit) << 1) |
                                       std::uint32_t(bit);
         DHISQ_ASSERT(ready >= _sched.now(), "result ready in the past");
-        _sched.schedule(
-            ready,
-            [this, dst, payload, ready] {
-                _telf.record(ready, "DEV", TelfKind::MeasureResult, -1,
-                             payload & 1);
-                _cores[dst]->deliverMessage(core::kMeasResultSource, payload);
-            },
-            dst);
+        _sched.schedule(ready, [this, dst, payload, ready] {
+            _telf.record(ready, "DEV", TelfKind::MeasureResult, -1,
+                         payload & 1);
+            _cores[dst]->deliverMessage(core::kMeasResultSource, payload);
+        });
     });
 }
 

@@ -41,12 +41,7 @@ struct MachineConfig
     std::size_t control_queue_capacity = 64;
     /** Cycles per classical instruction. */
     Cycle classical_cpi = 1;
-    /**
-     * Scheduler worker threads. 1 runs the serial event loop; >= 2
-     * engages the conservative parallel mode (one region per thread,
-     * lookahead from the topology). Results are bit-identical either
-     * way — this knob trades wall-clock time only.
-     */
+    /** Unread; the event loop is serial. Kept while benchmark/ sets it. */
     unsigned sim_threads = 1;
 };
 

@@ -52,12 +52,12 @@ JobServer::runOne(const JobRequest &request) const
     cc.cache_dir = _options.cache_dir;
 
     const compiler::Circuit circuit = request.circuit.build();
+    sweep::ExecOptions opts;
+    opts.state_vector = request.state_vector;
+    opts.seed = request.seed;
+    opts.topology = request.topology;
+    opts.controllers = request.controllers;
     if (request.run) {
-        sweep::ExecOptions opts;
-        opts.state_vector = request.state_vector;
-        opts.seed = request.seed;
-        opts.topology = request.topology;
-        opts.controllers = request.controllers;
         const sweep::ExecResult exec = sweep::executeWith(circuit, cc, opts);
         if (exec.rejected) {
             result.error = exec.reject_reason;
@@ -71,20 +71,19 @@ JobServer::runOne(const JobRequest &request) const
         result.makespan = exec.makespan;
         result.events = exec.events;
         result.controllers = exec.controllers;
+        result.instructions = exec.instructions;
         result.measurements = exec.measurements;
         return result;
     }
 
-    // Compile-only job: same topology sizing as the execution path, but
-    // the machine is never built.
-    const unsigned controllers =
-        request.controllers != 0
-            ? request.controllers
-            : (circuit.numQubits() + cc.qubits_per_controller - 1) /
-                  cc.qubits_per_controller;
-    const auto topo_cfg = sweep::shapeTopology(request.topology, controllers);
-    const net::Topology topo = net::Topology::build(topo_cfg);
-    compiler::Compiler comp(topo, cc);
+    // Compile-only job: the execution path's topology, but the machine is
+    // never built.
+    const auto topo = sweep::buildTopology(circuit, cc, opts);
+    if (!topo) {
+        result.error = topo.message();
+        return result;
+    }
+    compiler::Compiler comp(topo.value(), cc);
     auto compiled = comp.tryCompile(circuit);
     if (!compiled) {
         result.error = compiled.message();

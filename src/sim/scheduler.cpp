@@ -34,25 +34,25 @@ Scheduler::releaseSlot(std::uint32_t slot)
 }
 
 void
-Scheduler::heapPush(std::vector<HeapEntry> &heap, HeapEntry entry)
+Scheduler::heapPush(HeapEntry entry)
 {
-    heap.push_back(entry);
-    std::size_t i = heap.size() - 1;
+    _heap.push_back(entry);
+    std::size_t i = _heap.size() - 1;
     while (i > 0) {
         const std::size_t parent = (i - 1) / kArity;
-        if (!heap[i].before(heap[parent]))
+        if (!_heap[i].before(_heap[parent]))
             break;
-        std::swap(heap[i], heap[parent]);
+        std::swap(_heap[i], _heap[parent]);
         i = parent;
     }
 }
 
 void
-Scheduler::heapPopMin(std::vector<HeapEntry> &heap)
+Scheduler::heapPopMin()
 {
-    heap.front() = heap.back();
-    heap.pop_back();
-    const std::size_t n = heap.size();
+    _heap.front() = _heap.back();
+    _heap.pop_back();
+    const std::size_t n = _heap.size();
     std::size_t i = 0;
     for (;;) {
         const std::size_t first_child = i * kArity + 1;
@@ -62,21 +62,21 @@ Scheduler::heapPopMin(std::vector<HeapEntry> &heap)
         const std::size_t last_child =
             std::min(first_child + kArity, n);
         for (std::size_t c = first_child + 1; c < last_child; ++c) {
-            if (heap[c].before(heap[best]))
+            if (_heap[c].before(_heap[best]))
                 best = c;
         }
-        if (!heap[best].before(heap[i]))
+        if (!_heap[best].before(_heap[i]))
             break;
-        std::swap(heap[i], heap[best]);
+        std::swap(_heap[i], _heap[best]);
         i = best;
     }
 }
 
 void
-Scheduler::dropStaleTop(std::vector<HeapEntry> &heap)
+Scheduler::dropStaleTop()
 {
-    while (!heap.empty() && stale(heap.front()))
-        heapPopMin(heap);
+    while (!_heap.empty() && stale(_heap.front()))
+        heapPopMin();
 }
 
 void
@@ -86,12 +86,10 @@ Scheduler::dispatch(const HeapEntry &entry)
     _now = entry.when;
     ++_executed;
     --_pending;
-    --pendingSlot(_slots[entry.slot].source);
     // Move the callback out and recycle the slot *before* invoking:
     // the callback may schedule new events (reusing this slot) or
     // cancel its own id (now stale, so a no-op).
     Callback cb = std::move(_slots[entry.slot].cb);
-    _dispatch_source = _slots[entry.slot].source;
     releaseSlot(entry.slot);
     cb();
 }
@@ -99,13 +97,11 @@ Scheduler::dispatch(const HeapEntry &entry)
 bool
 Scheduler::step()
 {
-    DHISQ_ASSERT(_pool == nullptr,
-                 "step() is serial-mode only; parallel runs use run()");
-    dropStaleTop(_heap);
+    dropStaleTop();
     if (_heap.empty())
         return false;
     const HeapEntry top = _heap.front();
-    heapPopMin(_heap);
+    heapPopMin();
     dispatch(top);
     return true;
 }
@@ -113,10 +109,8 @@ Scheduler::step()
 Cycle
 Scheduler::run(Cycle limit)
 {
-    if (_pool != nullptr)
-        return runParallel(limit);
     for (;;) {
-        dropStaleTop(_heap);
+        dropStaleTop();
         if (_heap.empty() || _heap.front().when > limit)
             break;
         step();
@@ -128,11 +122,6 @@ void
 Scheduler::reset()
 {
     _heap.clear();
-    _overflow.clear();
-    for (auto &heap : _region_heaps)
-        heap.clear();
-    for (auto &staged : _staged)
-        staged.clear();
     _free_slots.clear();
     // Recycle every slot; the generation bump strands any outstanding ids
     // so stale handles can never collide after reset.
@@ -142,194 +131,6 @@ Scheduler::reset()
     }
     _now = 0;
     _pending = 0;
-    _pending_by_source.assign(_pending_by_source.size(), 0);
-    _dispatch_source = kNoController;
-    _in_dispatch = false;
-    _window_last = 0;
-}
-
-// ---------------------------------------------------------------------------
-// Conservative barrier-window parallel mode
-// ---------------------------------------------------------------------------
-
-void
-Scheduler::collectLive(std::vector<HeapEntry> &out)
-{
-    const auto take = [&](std::vector<HeapEntry> &heap) {
-        for (const HeapEntry &entry : heap) {
-            if (!stale(entry))
-                out.push_back(entry);
-        }
-        heap.clear();
-    };
-    take(_heap);
-    take(_overflow);
-    for (auto &heap : _region_heaps)
-        take(heap);
-}
-
-void
-Scheduler::configureParallel(PartitionPlan plan, unsigned threads)
-{
-    DHISQ_ASSERT(!_in_dispatch, "cannot reconfigure mid-dispatch");
-    DHISQ_ASSERT(plan.num_regions >= 1, "partition needs >= 1 region");
-    DHISQ_ASSERT(plan.lookahead >= 1, "lookahead must be >= 1 cycle");
-    for (const std::uint32_t r : plan.region_of)
-        DHISQ_ASSERT(r < plan.num_regions, "region index out of range");
-
-    std::vector<HeapEntry> live;
-    live.reserve(_pending);
-    collectLive(live);
-
-    _pool.reset(); // join old workers before repartitioning
-    if (threads >= 2) {
-        _plan = std::move(plan);
-        _pool = std::make_unique<WorkerPool>(threads);
-        _region_heaps.assign(_plan.num_regions, {});
-        _staged.assign(_plan.num_regions, {});
-        _staged_cursor.assign(_plan.num_regions, 0);
-        for (const HeapEntry &entry : live) {
-            heapPush(_region_heaps[_plan.regionOf(_slots[entry.slot].source)],
-                     entry);
-        }
-    } else {
-        _plan = PartitionPlan{};
-        _region_heaps.clear();
-        _staged.clear();
-        _staged_cursor.clear();
-        for (const HeapEntry &entry : live)
-            heapPush(_heap, entry);
-    }
-}
-
-void
-Scheduler::stageRegion(unsigned r)
-{
-    auto &heap = _region_heaps[r];
-    auto &staged = _staged[r];
-    staged.clear();
-    for (;;) {
-        dropStaleTop(heap);
-        if (heap.empty() || heap.front().when > _stage_last)
-            break;
-        staged.push_back(heap.front());
-        heapPopMin(heap);
-    }
-}
-
-void
-Scheduler::dispatchWindow(Cycle window_last)
-{
-    _in_dispatch = true;
-    _window_last = window_last;
-    const std::uint32_t regions = _plan.num_regions;
-    auto &cursor = _staged_cursor;
-    cursor.assign(regions, 0);
-    std::size_t staged_left = 0;
-    for (std::uint32_t r = 0; r < regions; ++r)
-        staged_left += _staged[r].size();
-    for (;;) {
-        // Pick the globally next event among the staged per-region
-        // streams (each already (when, seq)-sorted) and the overflow
-        // heap of intra-window arrivals. Linear scan: the region count
-        // tracks the thread count, so this is a handful of compares —
-        // and once the staged streams drain (the tail of every window
-        // is pure intra-window arrivals) the scan is skipped entirely.
-        const HeapEntry *best = nullptr;
-        std::uint32_t best_region = 0;
-        if (staged_left > 0) {
-            for (std::uint32_t r = 0; r < regions; ++r) {
-                auto &staged = _staged[r];
-                std::size_t &cur = cursor[r];
-                while (cur < staged.size() && stale(staged[cur])) {
-                    ++cur; // cancelled after staging
-                    --staged_left;
-                }
-                if (cur < staged.size() &&
-                    (best == nullptr || staged[cur].before(*best))) {
-                    best = &staged[cur];
-                    best_region = r;
-                }
-            }
-        }
-        dropStaleTop(_overflow);
-        bool from_overflow = false;
-        if (!_overflow.empty() &&
-            (best == nullptr || _overflow.front().before(*best))) {
-            best = &_overflow.front();
-            from_overflow = true;
-        }
-        if (best == nullptr)
-            break;
-        const HeapEntry top = *best;
-        if (from_overflow) {
-            heapPopMin(_overflow);
-        } else {
-            ++cursor[best_region];
-            --staged_left;
-        }
-        if (stale(top))
-            continue; // cancelled between the scan and the pop
-        dispatch(top);
-    }
-    // Barrier quiescence: the window must be fully drained — nothing in
-    // the overflow heap, and every region's next event beyond the bound
-    // (intra-window arrivals never land in a region heap, so a live or
-    // stale region top inside the window means staging missed events).
-    DHISQ_ASSERT(_overflow.empty(), "window not quiescent: overflow left");
-    for (std::uint32_t r = 0; r < regions; ++r) {
-        DHISQ_ASSERT(_region_heaps[r].empty() ||
-                         _region_heaps[r].front().when > window_last,
-                     "window not quiescent: region ", r,
-                     " holds an event at ",
-                     _region_heaps[r].empty()
-                         ? Cycle(0)
-                         : _region_heaps[r].front().when,
-                     " <= window end ", window_last);
-        _staged[r].clear();
-    }
-    _in_dispatch = false;
-}
-
-Cycle
-Scheduler::runParallel(Cycle limit)
-{
-    const auto stage_phase = [](void *ctx, unsigned r) {
-        static_cast<Scheduler *>(ctx)->stageRegion(r);
-    };
-    for (;;) {
-        // Window base: the minimum region-heap top, peeked on this thread
-        // (no worker phase). A cancelled top may base the window early —
-        // harmless: staging drops stale entries, so the round just covers
-        // fewer live events, and the heaps still advance.
-        Cycle t_min = kNoCycle;
-        bool any = false;
-        for (const auto &heap : _region_heaps) {
-            if (!heap.empty() &&
-                (!any || heap.front().when < t_min)) {
-                t_min = heap.front().when;
-                any = true;
-            }
-        }
-        if (!any || t_min > limit)
-            break;
-        // Inclusive window bound: lookahead cycles from the base (the
-        // conservative cross-region guarantee), widened to the batching
-        // floor — wider windows stay deterministic, they only shift
-        // intra-window arrivals onto the overflow path.
-        const Cycle width = _plan.window() - 1;
-        Cycle window_last =
-            t_min > kNoCycle - width ? kNoCycle : t_min + width;
-        if (window_last > limit)
-            window_last = limit;
-        // Staging (parallel): each worker drains its regions' events
-        // inside the window into sorted staging vectors.
-        _stage_last = window_last;
-        _pool->forEach(_plan.num_regions, stage_phase, this);
-        // Dispatch (serial): deterministic merge of the staged streams.
-        dispatchWindow(window_last);
-    }
-    return _now;
 }
 
 } // namespace dhisq::sim

@@ -30,30 +30,15 @@
  * the kNoEvent sentinel 0 is never produced, and a stale id (slot since
  * recycled, or scheduler reset) simply fails the generation compare, which
  * keeps "cancel after fire is a harmless no-op" true by construction.
- *
- * Events carry a *source tag* (the ControllerId whose activity caused
- * them). Tags are inherited: an event scheduled from inside a callback
- * defaults to the dispatching event's source, so only entry-point call
- * sites (fabric deliveries, core starts, measurement results) tag
- * explicitly. Tags feed the per-source pending counters (pendingFor) and
- * the conservative parallel mode's region partitioning — they never affect
- * event ordering, so a mis-tagged event can cost balance, not correctness.
- *
- * Parallel mode (configureParallel + a PartitionPlan): a conservative
- * barrier-window PDES layer over the same slot-pool/cancel/callback
- * contracts, bit-identical to the serial path by construction. See
- * docs/SIMULATION.md for the model and runParallel below for the rounds.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/types.hpp"
 #include "sim/callback.hpp"
-#include "sim/parallel.hpp"
 
 namespace dhisq::sim {
 
@@ -78,44 +63,25 @@ class Scheduler
 
     /**
      * Schedule `cb` to run at absolute cycle `when` (>= now()).
-     * `source` tags the event with the controller whose activity caused
-     * it; the default (kNoController) inherits the source of the event
-     * being dispatched, which is right for everything scheduled from
-     * inside a unit's own callback chain.
      * @return an id usable with cancel().
      */
     EventId
-    schedule(Cycle when, Callback cb, ControllerId source = kNoController)
+    schedule(Cycle when, Callback cb)
     {
         DHISQ_ASSERT(when >= _now, "scheduling event in the past: when=",
                      when, " now=", _now);
-        if (source == kNoController)
-            source = _dispatch_source;
         const std::uint32_t slot = acquireSlot();
         _slots[slot].cb = std::move(cb);
-        _slots[slot].source = source;
-        const HeapEntry entry{when, ++_next_seq, slot,
-                              _slots[slot].generation};
-        if (_pool == nullptr) {
-            heapPush(_heap, entry);
-        } else if (_in_dispatch && when <= _window_last) {
-            // Landing inside the open window: the region queues below the
-            // window are already staged, so route through the overflow
-            // heap the dispatch loop merges from.
-            heapPush(_overflow, entry);
-        } else {
-            heapPush(_region_heaps[_plan.regionOf(source)], entry);
-        }
+        heapPush({when, ++_next_seq, slot, _slots[slot].generation});
         ++_pending;
-        ++pendingSlot(source);
         return makeId(slot, _slots[slot].generation);
     }
 
     /** Schedule `cb` after `delay` cycles. */
     EventId
-    scheduleIn(Cycle delay, Callback cb, ControllerId source = kNoController)
+    scheduleIn(Cycle delay, Callback cb)
     {
-        return schedule(_now + delay, std::move(cb), source);
+        return schedule(_now + delay, std::move(cb));
     }
 
     /**
@@ -131,7 +97,6 @@ class Scheduler
             return;
         }
         _slots[slot].cb.reset();
-        --pendingSlot(_slots[slot].source);
         releaseSlot(slot);
         --_pending;
     }
@@ -142,24 +107,11 @@ class Scheduler
     /** Number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Runnable events across all sources. */
+    /** Runnable (scheduled, not yet fired or cancelled) events. */
     std::uint64_t pending() const { return _pending; }
 
     /**
-     * Runnable events tagged with `source` (kNoController counts the
-     * untagged bucket). O(1); maintained on schedule/cancel/dispatch, so
-     * window-drain and quiescence assertions are cheap.
-     */
-    std::uint64_t
-    pendingFor(ControllerId source) const
-    {
-        const std::size_t i = pendingIndex(source);
-        return i < _pending_by_source.size() ? _pending_by_source[i] : 0;
-    }
-
-    /**
-     * Run a single event. Serial mode only (the parallel rounds stage
-     * whole windows; single-stepping them would desynchronize staging).
+     * Run a single event.
      * @return false when the queue is empty.
      */
     bool step();
@@ -170,23 +122,8 @@ class Scheduler
      */
     Cycle run(Cycle limit = kNoCycle);
 
-    /** Reset time and drop all pending events (keeps the parallel config). */
+    /** Reset time and drop all pending events. */
     void reset();
-
-    /**
-     * Engage (threads >= 2) or disengage (threads <= 1) the conservative
-     * parallel mode. Pending events are redistributed, so configuring
-     * mid-lifetime is safe; the dispatch order — and therefore every
-     * simulation artifact — is identical either way. `plan` partitions
-     * sources into regions and carries the topology lookahead.
-     */
-    void configureParallel(PartitionPlan plan, unsigned threads);
-
-    /** True when the parallel mode is engaged. */
-    bool parallel() const { return _pool != nullptr; }
-
-    /** The active partition plan (meaningful when parallel()). */
-    const PartitionPlan &partition() const { return _plan; }
 
   private:
     /** POD heap entry; the callback stays in its slot. */
@@ -211,7 +148,6 @@ class Scheduler
     {
         Callback cb;
         std::uint32_t generation = 1;
-        ControllerId source = kNoController;
     };
 
     static EventId
@@ -228,28 +164,13 @@ class Scheduler
         return std::uint32_t(id);
     }
 
-    static std::size_t
-    pendingIndex(ControllerId source)
-    {
-        return source == kNoController ? 0 : std::size_t(source) + 1;
-    }
-
-    std::uint64_t &
-    pendingSlot(ControllerId source)
-    {
-        const std::size_t i = pendingIndex(source);
-        if (i >= _pending_by_source.size())
-            _pending_by_source.resize(i + 1, 0);
-        return _pending_by_source[i];
-    }
-
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t slot);
 
-    static void heapPush(std::vector<HeapEntry> &heap, HeapEntry entry);
-    static void heapPopMin(std::vector<HeapEntry> &heap);
+    void heapPush(HeapEntry entry);
+    void heapPopMin();
     /** Drop heap entries whose slot generation moved on (cancelled). */
-    void dropStaleTop(std::vector<HeapEntry> &heap);
+    void dropStaleTop();
 
     /** True when the entry's slot generation moved on (cancelled). */
     bool
@@ -261,43 +182,13 @@ class Scheduler
     /** Pop `entry`'s callback and invoke it at its timestamp. */
     void dispatch(const HeapEntry &entry);
 
-    // ---- Parallel (conservative barrier-window) mode -------------------
-
-    /** Fold every live heap entry into `out` (stale entries dropped). */
-    void collectLive(std::vector<HeapEntry> &out);
-
-    /** Worker phase: drain region r's events with when <= _stage_last. */
-    void stageRegion(unsigned r);
-
-    /** Merge staged streams + overflow in (when, seq) order and execute. */
-    void dispatchWindow(Cycle window_last);
-
-    Cycle runParallel(Cycle limit);
-
-    std::vector<HeapEntry> _heap; ///< Serial-mode 4-ary min-heap (when, seq).
+    std::vector<HeapEntry> _heap; ///< 4-ary min-heap ordered by (when, seq).
     std::vector<Slot> _slots;
     std::vector<std::uint32_t> _free_slots;
     Cycle _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _pending = 0;
     std::uint64_t _executed = 0;
-    /** Per-source pending counts; index 0 = untagged, i+1 = controller i. */
-    std::vector<std::uint64_t> _pending_by_source;
-    /** Source tag of the event being dispatched (inherited by schedule). */
-    ControllerId _dispatch_source = kNoController;
-
-    // Parallel mode state. Workers touch only their own region's heap,
-    // min entry and staged vector, and read slot generations — all phase-
-    // separated from the (serial) dispatch that mutates slots.
-    std::unique_ptr<WorkerPool> _pool;
-    PartitionPlan _plan;
-    std::vector<std::vector<HeapEntry>> _region_heaps;
-    std::vector<std::vector<HeapEntry>> _staged; ///< Sorted, per region.
-    std::vector<std::size_t> _staged_cursor;
-    std::vector<HeapEntry> _overflow; ///< Intra-window arrivals (a heap).
-    Cycle _stage_last = 0;  ///< Inclusive staging bound for the workers.
-    Cycle _window_last = 0; ///< Inclusive bound of the open window.
-    bool _in_dispatch = false;
 };
 
 } // namespace dhisq::sim

@@ -27,17 +27,6 @@ parseCli(int argc, char **argv)
                     std::string("bad --threads value: ") + argv[i]);
             }
             opts.threads = static_cast<unsigned>(n);
-        } else if (arg == "--sim-threads") {
-            if (i + 1 >= argc)
-                return Result<CliOptions>::error(
-                    "--sim-threads needs a count");
-            char *end = nullptr;
-            const long n = std::strtol(argv[++i], &end, 10);
-            if (end == nullptr || *end != '\0' || n < 1 || n > 1024) {
-                return Result<CliOptions>::error(
-                    std::string("bad --sim-threads value: ") + argv[i]);
-            }
-            opts.sim_threads = static_cast<unsigned>(n);
         } else if (arg == "--topology") {
             if (i + 1 >= argc)
                 return Result<CliOptions>::error("--topology needs a shape");
@@ -272,8 +261,7 @@ printUsage(const char *prog)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--json <path>] [--threads N] [--sim-threads N] "
-        "[--quick]\n"
+        "usage: %s [--json <path>] [--threads N] [--quick]\n"
         "          [--topology <shape>]... [--placement <strategy>]...\n"
         "          [--routing <mode>]... [--route-window N]...\n"
         "          [--route-feedback on|off]... [--backend <tier>]...\n"
@@ -283,9 +271,6 @@ printUsage(const char *prog)
         "  --json <path>      write the dhisq-bench-v1 report "
         "(\"-\" = stdout)\n"
         "  --threads N        sweep worker threads (default 1)\n"
-        "  --sim-threads N    scheduler threads per simulation (default 1;\n"
-        "                     >= 2 engages the parallel event loop, which\n"
-        "                     is bit-identical to serial)\n"
         "  --quick            reduced grid for CI smoke runs\n"
         "  --topology <shape> restrict the topology axis (line, grid, "
         "ring,\n"

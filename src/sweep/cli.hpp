@@ -29,9 +29,6 @@ struct CliOptions
     std::string json_path;
     /** Worker threads for the sweep pool. */
     unsigned threads = 1;
-    /** Scheduler worker threads inside each simulation (1 = serial event
-     *  loop, >= 2 = conservative parallel mode; results are identical). */
-    unsigned sim_threads = 1;
     /** Run a reduced grid (CI smoke). */
     bool quick = false;
     /** Print the expanded grid points and exit without running. */

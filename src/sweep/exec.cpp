@@ -42,15 +42,19 @@ shapeTopology(net::TopologyShape shape, unsigned controllers)
     return topo;
 }
 
-ExecResult
-executeWith(const compiler::Circuit &circuit,
-            const compiler::CompilerConfig &cc, const ExecOptions &opts)
+Result<net::Topology>
+buildTopology(const compiler::Circuit &circuit,
+              const compiler::CompilerConfig &cc, const ExecOptions &opts)
 {
-    const unsigned controllers =
-        opts.controllers != 0
-            ? opts.controllers
-            : (circuit.numQubits() + cc.qubits_per_controller - 1) /
-                  cc.qubits_per_controller;
+    const unsigned qpc = cc.qubits_per_controller;
+    if (qpc == 0) {
+        return Result<net::Topology>::error(
+            "circuit '" + circuit.name() +
+            "': qubits_per_controller must be >= 1 (got 0)");
+    }
+    const unsigned controllers = opts.controllers != 0
+                                     ? opts.controllers
+                                     : (circuit.numQubits() + qpc - 1) / qpc;
     auto topo_cfg = shapeTopology(opts.topology, controllers);
     // The topology owns the hub constant: the compiler's static lock-step
     // schedule and the fabric's broadcast both read it from here.
@@ -59,26 +63,35 @@ executeWith(const compiler::Circuit &circuit,
     topo_cfg.latency_seed = opts.latency_seed;
     topo_cfg.clustering = opts.clustering;
     topo_cfg.tree_arity = opts.tree_arity;
-    net::Topology topo = net::Topology::build(topo_cfg);
+    return net::Topology::build(topo_cfg);
+}
 
-    compiler::Compiler comp(topo, cc);
-    auto compile_result = comp.tryCompile(circuit);
-    if (!compile_result) {
+ExecResult
+executeWith(const compiler::Circuit &circuit,
+            const compiler::CompilerConfig &cc, const ExecOptions &opts)
+{
+    const auto reject = [](std::string reason) {
         ExecResult rejected;
         rejected.rejected = true;
-        rejected.reject_reason = compile_result.message();
+        rejected.reject_reason = std::move(reason);
         return rejected;
-    }
+    };
+    const auto topo = buildTopology(circuit, cc, opts);
+    if (!topo)
+        return reject(topo.message());
+    compiler::Compiler comp(topo.value(), cc);
+    auto compile_result = comp.tryCompile(circuit);
+    if (!compile_result)
+        return reject(compile_result.message());
     auto compiled = compile_result.take();
 
     // Size the machine from the compiled slot geometry: SWAP routing may
     // use more ports/device qubits than the circuit's own count.
-    auto mc = compiler::machineConfigFor(topo_cfg, cc, compiled,
+    auto mc = compiler::machineConfigFor(topo.value().config(), cc, compiled,
                                          opts.state_vector, opts.seed);
     mc.fabric.policy = opts.policy;
     mc.fabric.star_messages =
         (cc.scheme == compiler::SyncScheme::kLockStep);
-    mc.sim_threads = opts.sim_threads;
     runtime::Machine machine(mc);
     compiled.applyTo(machine);
 
@@ -95,6 +108,7 @@ executeWith(const compiler::Circuit &circuit,
     result.events = report.events_executed;
     result.controllers = compiled.usedControllers();
     result.swaps = compiled.stats.counter("swaps_inserted");
+    result.instructions = compiled.totalInstructions();
     result.measurements = machine.device().measurements();
     return result;
 }

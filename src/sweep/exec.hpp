@@ -36,6 +36,8 @@ struct ExecResult
     unsigned controllers = 0;
     /** SWAPs the routing pass inserted (0 with routing disabled). */
     std::uint64_t swaps = 0;
+    /** Compiled instructions across every controller's program. */
+    std::uint64_t instructions = 0;
     /** True when the compiler rejected the point (e.g. over-capacity
      *  with routing disabled); `reject_reason` carries the diagnostic
      *  and no simulation ran. */
@@ -91,14 +93,19 @@ struct ExecOptions
      * under RoutingMode::kSwap's oversubscribed mapping.
      */
     unsigned controllers = 0;
-    /**
-     * Scheduler worker threads for the simulation (MachineConfig::
-     * sim_threads): 1 = serial event loop, >= 2 = conservative parallel
-     * mode. Never part of a point's identity — results are bit-identical
-     * across values, so it is excluded from labels and emitted params.
-     */
+    /** Unread; the event loop is serial. Kept while benchmark/ sets it. */
     unsigned sim_threads = 1;
 };
+
+/**
+ * The topology `circuit` compiles and runs on: `opts.topology` sized to
+ * `opts.controllers`, or to fit the circuit at `cc.qubits_per_controller`
+ * when that is 0, with the interconnect options of `opts` applied.
+ * Rejects `qubits_per_controller == 0` instead of dividing by it.
+ */
+Result<net::Topology> buildTopology(const compiler::Circuit &circuit,
+                                    const compiler::CompilerConfig &cc,
+                                    const ExecOptions &opts);
 
 /** Compile + run with explicit compiler and interconnect configuration. */
 ExecResult executeWith(const compiler::Circuit &circuit,

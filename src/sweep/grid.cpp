@@ -195,7 +195,6 @@ expandGrid(const GridSpec &grid)
                             p.controllers = grid.controllers;
                             p.seed = seed;
                             p.state_vector = grid.state_vector;
-                            p.sim_threads = grid.sim_threads;
                             points.push_back(std::move(p));
                           }
                         }
@@ -229,7 +228,6 @@ runPoint(const ExperimentPoint &point, const MetricsHook &extend)
     opts.tree_arity = point.tree_arity;
     opts.hub_latency = point.hub_latency;
     opts.controllers = point.controllers;
-    opts.sim_threads = point.sim_threads;
     const ExecResult r = executeWith(circuit, point.config, opts);
 
     PointResult out;

@@ -86,11 +86,6 @@ struct ExperimentPoint
     unsigned controllers = 0;
     std::uint64_t seed = 1;
     bool state_vector = false;
-    /** Scheduler worker threads. NOT part of the point's identity: the
-     *  parallel scheduler is bit-identical to the serial one, so this is
-     *  excluded from label() and the emitted params — artifacts produced
-     *  at different thread counts must compare byte-identical. */
-    unsigned sim_threads = 1;
 
     std::string label() const;
 };
@@ -135,9 +130,6 @@ struct GridSpec
      *  ExperimentPoint::controllers). Not an axis. */
     unsigned controllers = 0;
     bool state_vector = false;
-    /** Scheduler worker threads per point (not an axis, not serialized;
-     *  see ExperimentPoint::sim_threads). */
-    unsigned sim_threads = 1;
 };
 
 /**

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the discrete-event kernel: ordering, determinism,
  * cancellation, run limits, the slot-pool id lifecycle, the cancel-heavy
- * stress path and the small-buffer callback type.
+ * stress path, a seeded random-workload property test and the
+ * small-buffer callback type.
  */
 #include <gtest/gtest.h>
 
@@ -217,43 +218,110 @@ TEST(Scheduler, CancelHeavyStress100k)
     EXPECT_EQ(s.now(), Cycle(1000000 + kEvents - 1));
 }
 
-TEST(Scheduler, PendingForTracksScheduleCancelAndFire)
+/**
+ * Seeded self-scheduling workload: every fired event spawns children at
+ * random delays (delay 0 included, for same-cycle ties) and cancels random
+ * ids, pending or already fired. The LCG draws happen inside callbacks, so
+ * the whole run depends on the dispatch order. Labels are handed out in
+ * schedule order, so same-cycle events must fire with increasing labels.
+ */
+struct RandomWorkload
 {
-    Scheduler s;
-    EXPECT_EQ(s.pendingFor(0), 0u);
-    s.schedule(10, [] {}, 0);
-    s.schedule(11, [] {}, 0);
-    const EventId guard = s.schedule(12, [] {}, 1);
-    s.schedule(13, [] {}); // untagged bucket
-    EXPECT_EQ(s.pending(), 4u);
-    EXPECT_EQ(s.pendingFor(0), 2u);
-    EXPECT_EQ(s.pendingFor(1), 1u);
-    EXPECT_EQ(s.pendingFor(kNoController), 1u);
-    s.cancel(guard);
-    EXPECT_EQ(s.pendingFor(1), 0u);
-    s.run();
-    EXPECT_EQ(s.pendingFor(0), 0u);
-    EXPECT_EQ(s.pendingFor(kNoController), 0u);
-    EXPECT_EQ(s.pending(), 0u);
-}
+    Scheduler sched;
+    std::uint64_t rng;
+    bool cancel_heavy;
+    std::vector<EventId> ids;    ///< By label.
+    std::vector<Cycle> when;     ///< By label.
+    std::vector<bool> fired;     ///< By label.
+    std::vector<bool> cancelled; ///< By label: cancelled while pending.
+    std::uint64_t fired_count = 0;
+    Cycle last_now = 0;
+    std::size_t last_label = 0;
+    bool ordered = true;
+    bool on_time = true;
+    bool fired_cancelled = false;
 
-TEST(Scheduler, SourceTagIsInheritedByNestedSchedules)
+    RandomWorkload(std::uint64_t seed, bool heavy)
+        : rng(seed * 0x9E3779B97F4A7C15ull + 1), cancel_heavy(heavy)
+    {
+    }
+
+    std::uint64_t
+    draw(std::uint64_t bound)
+    {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return (rng >> 33) % bound;
+    }
+
+    void
+    spawn(Cycle at, unsigned depth)
+    {
+        const std::size_t label = ids.size();
+        when.push_back(at);
+        fired.push_back(false);
+        cancelled.push_back(false);
+        ids.push_back(sched.schedule(at, [this, label, depth] {
+            onFire(label, depth);
+        }));
+    }
+
+    void
+    onFire(std::size_t label, unsigned depth)
+    {
+        fired_cancelled = fired_cancelled || cancelled[label];
+        on_time = on_time && sched.now() == when[label];
+        if (fired_count > 0) {
+            ordered = ordered && sched.now() >= last_now &&
+                      (sched.now() > last_now || label > last_label);
+        }
+        fired[label] = true;
+        ++fired_count;
+        last_now = sched.now();
+        last_label = label;
+        if (depth > 0) {
+            const std::uint64_t children = draw(3);
+            for (std::uint64_t c = 0; c < children; ++c)
+                spawn(sched.now() + Cycle(draw(16)), depth - 1);
+        }
+        const std::uint64_t cancels = cancel_heavy ? 1 + draw(3) : draw(2);
+        for (std::uint64_t c = 0; c < cancels; ++c) {
+            const std::size_t victim = draw(ids.size());
+            if (!fired[victim])
+                cancelled[victim] = true;
+            sched.cancel(ids[victim]);
+        }
+    }
+};
+
+TEST(Scheduler, SeededRandomWorkloadKeepsOrderingInvariants)
 {
-    Scheduler s;
-    // The event tagged 3 schedules a child without a tag: the child must
-    // inherit 3, which pendingFor observes while the child is pending.
-    std::uint64_t mid_count = 0;
-    s.schedule(
-        1,
-        [&] {
-            s.scheduleIn(5, [] {});
-            mid_count = s.pendingFor(3);
-        },
-        3);
-    s.run(1);
-    EXPECT_EQ(mid_count, 1u);
-    s.run();
-    EXPECT_EQ(s.pendingFor(3), 0u);
+    for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 42u}) {
+        for (const bool heavy : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed=" << seed << " heavy=" << heavy);
+            RandomWorkload w(seed, heavy);
+            for (int e = 0; e < 30; ++e)
+                w.spawn(Cycle(w.draw(200)), 4);
+            w.sched.run();
+
+            EXPECT_TRUE(w.ordered);
+            EXPECT_TRUE(w.on_time);
+            EXPECT_FALSE(w.fired_cancelled);
+            EXPECT_EQ(w.sched.executed(), w.fired_count);
+            EXPECT_TRUE(w.sched.idle());
+            // Every event either fired or was cancelled while pending.
+            std::uint64_t cancelled = 0;
+            for (std::size_t l = 0; l < w.ids.size(); ++l) {
+                EXPECT_NE(bool(w.fired[l]), bool(w.cancelled[l])) << "label " << l;
+                cancelled += w.cancelled[l] ? 1 : 0;
+            }
+            // The workload is not trivial: events spawned children, some
+            // fired and some were cancelled while pending.
+            EXPECT_GT(w.ids.size(), 30u);
+            EXPECT_GT(w.fired_count, 0u);
+            EXPECT_GT(cancelled, 0u);
+        }
+    }
 }
 
 TEST(Scheduler, ManySameCycleEventsKeepScheduleOrder)

@@ -100,6 +100,51 @@ TEST(Service, CompileOnlyJobsSkipTheSimulation)
     EXPECT_TRUE(results[0].measurements.empty());
 }
 
+TEST(Service, CompileOnlyJobSharesTheRunJobsCacheEntry)
+{
+    // Lock-step bakes the hub latency into its static schedule, so a
+    // compile-only job sized differently from the run would compile (and
+    // cache) a different program.
+    auto server = makeServer(compiler::CacheMode::kMemory);
+    JobRequest compile_only = ghzJob();
+    compile_only.config.scheme = compiler::SyncScheme::kLockStep;
+    compile_only.run = false;
+    JobRequest run = compile_only;
+    run.run = true;
+
+    const auto compiled = server.submit({compile_only});
+    ASSERT_EQ(compiled.size(), 1u);
+    ASSERT_TRUE(compiled[0].ok) << compiled[0].error;
+    const auto ran = server.submit({run});
+    ASSERT_EQ(ran.size(), 1u);
+    ASSERT_TRUE(ran[0].ok) << ran[0].error;
+
+    const auto &stats = server.lastBatchStats();
+    EXPECT_EQ(stats.lookups, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_GT(compiled[0].instructions, 0u);
+    EXPECT_EQ(ran[0].instructions, compiled[0].instructions);
+    EXPECT_EQ(ran[0].controllers, compiled[0].controllers);
+}
+
+TEST(Service, ZeroQubitsPerControllerFailsTheJob)
+{
+    auto server = makeServer(compiler::CacheMode::kMemory);
+    JobRequest run = ghzJob();
+    run.config.qubits_per_controller = 0;
+    JobRequest compile_only = run;
+    compile_only.run = false;
+
+    const auto results = server.submit({compile_only, run});
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto &r : results) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("qubits_per_controller"), std::string::npos)
+            << r.error;
+    }
+}
+
 TEST(Service, DuplicateJobsCompileOnce)
 {
     auto server = makeServer(compiler::CacheMode::kMemory, /*threads=*/4);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "sweep/cli.hpp"
+#include "sweep/exec.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/regress.hpp"
 #include "sweep/report.hpp"
@@ -578,6 +579,20 @@ TEST(Grid, OverCapacityWithoutRoutingReportsRejected)
     routed.config.routing = compiler::RoutingMode::kSwap;
     const auto t = runPoint(routed);
     EXPECT_TRUE(t.healthy) << t.health;
+}
+
+TEST(Exec, ZeroQubitsPerControllerIsRejectedNotDivided)
+{
+    CircuitSpec spec;
+    spec.kind = CircuitSpec::Kind::kLrCnotChain;
+    spec.qubits = 5;
+    compiler::CompilerConfig cc;
+    cc.qubits_per_controller = 0;
+    const ExecResult r = executeWith(spec.build(), cc, ExecOptions{});
+    EXPECT_TRUE(r.rejected);
+    EXPECT_NE(r.reject_reason.find("qubits_per_controller"),
+              std::string::npos)
+        << r.reject_reason;
 }
 
 TEST(Grid, RoutingStressCircuitSpecBuilds)
